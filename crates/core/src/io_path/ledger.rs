@@ -240,9 +240,9 @@ impl LedgerLog {
         &self.entries
     }
 
-    /// Stitches per-shard logs into the log a sequential run would
-    /// have produced: every shard captured its own first `capacity`
-    /// completions, so the union is a superset of the global window —
+    /// Stitches the per-worker-LP logs into one window: every LP
+    /// captured its own first `capacity` completions, so the union is
+    /// a superset of the global window —
     /// sort by completion instant (device as a deterministic
     /// tie-break) and keep the first `capacity`.
     pub(crate) fn merged(capacity: usize, parts: Vec<LedgerLog>) -> Self {

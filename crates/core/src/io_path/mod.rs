@@ -1,18 +1,18 @@
-//! The staged I/O path, partitioned into conservative-parallel shards:
-//! one module per slice of an I/O's life, glued by the sharded event
-//! conductor, instrumented through one [`IoLedger`].
+//! The staged I/O path: one module per slice of an I/O's life, glued
+//! by the single-wheel LP engine ([`afa_sim::shard`]), instrumented
+//! through one [`IoLedger`].
 //!
 //! ```text
-//!  worker shard A (owns device d, CPU c, job j)          hub shard
+//!  worker LP A (device d, CPU c, job j)                  hub LP
 //!  ───────────────────────────────────────────          ──────────
 //!  submit ─▶ fabric(down,local) ─▶ device ─╮
 //!    ╰────────── inline ──────────╯        │ DeviceDone (local)
 //!                 fabric(device up-leg) ◀──╯
 //!                        │ FabricUp ──────────▶ fabric(shared legs)
 //!                                               irq route / coalesce
-//!  worker shard V (owns the vector CPU)  ◀───── IrqDeliver
+//!  worker LP V (the vector CPU)          ◀───── IrqDeliver
 //!  irq handler ──╮
-//!                │ WakeReap ──▶ worker shard A: wake ─▶ reap ─▶ next issue
+//!                │ WakeReap ──▶ worker LP A: wake ─▶ reap ─▶ next issue
 //! ```
 //!
 //! Matching §III of the paper: the fio thread pays the submit syscall
@@ -22,26 +22,23 @@
 //! the scheduler wakes the thread ([`wake`]) and the thread reaps
 //! ([`complete`]).
 //!
-//! # Shard topology
+//! # Logical processes
 //!
-//! The world is replicated across [`LP_COUNT`] logical processes:
-//! [`WORKER_LPS`] *worker* shards plus one *hub* shard. Each worker
-//! owns whole physical cores (a core and its hyper-sibling always
-//! land together, so `sibling_busy` reads stay shard-local), and with
-//! them every device, fio job, per-device PCIe link and per-CPU
-//! scheduler state mapped to those cores by [`lp_of_cpu`]. The hub
-//! owns everything shared: the upstream leaf/uplink links, the MSI-X
-//! vector table and IRQ balancer, interrupt coalescing, and
-//! background-daemon placement. Every replica carries a full copy of
-//! the model, but a shard only ever mutates the slice it owns — the
-//! harvest step in `AfaSystem::run` stitches the owned slices back
-//! into one result.
+//! One world is split into [`LP_COUNT`] logical processes:
+//! [`WORKER_LPS`] *workers* plus one *hub*. Each worker stands for
+//! whole physical cores (a core and its hyper-sibling always land
+//! together), and with them every device, fio job, per-device PCIe
+//! link and per-CPU scheduler state mapped to those cores by
+//! [`lp_of_cpu`]. The hub stands for everything shared: the upstream
+//! leaf/uplink links, the MSI-X vector table and IRQ balancer,
+//! interrupt coalescing, and background-daemon placement.
 //!
-//! Cross-shard hops ride [`Cross`] events under per-shard lookahead
-//! bounds (a fabric hop for workers, hop + MSI latency for the hub),
-//! so the conservative engine in [`afa_sim::shard`] can execute
-//! shards in parallel and still merge byte-identically with the
-//! sequential driver.
+//! All LPs run on one timing wheel. The LP ids are the namespace of
+//! the engine's merge key, so same-instant hops between them ride
+//! [`Cross`] events in a fixed `(source, destination, sequence)`
+//! order — the event order every golden artifact is pinned to. Each
+//! hop's delay is a model latency (a fabric hop, an MSI write, an
+//! interrupt entry), never zero.
 //!
 //! Every stage writes its timing contribution into the I/O's
 //! [`IoLedger`], parked in the *owning worker's* slab for the I/O's
@@ -65,6 +62,8 @@ pub use ledger::{CompletedIo, IoLedger, LedgerLog};
 use complete::COMPLETE_COST;
 use model::CompletionModel;
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use afa_host::{BgPlacement, CpuId, HostModel, IrqDelivery, IrqOutcome};
 use afa_pcie::{PcieFabric, SharedLegReservation};
 use afa_sim::metrics::CompletionCounters;
@@ -77,16 +76,15 @@ use crate::blktrace::IoStage;
 use crate::config::IrqCoalescing;
 use crate::geometry::CpuSsdGeometry;
 
-/// Worker shards: each owns a fixed set of whole physical cores.
+/// Worker LPs: each stands for a fixed set of whole physical cores.
 pub(crate) const WORKER_LPS: usize = 8;
 
-/// The hub shard id: owns the shared uplink, the IRQ balancer and
-/// background placement.
+/// The hub LP id: the shared uplink, the IRQ balancer and background
+/// placement.
 pub(crate) const HUB_LP: usize = WORKER_LPS;
 
-/// Total logical processes (workers + hub). Fixed regardless of
-/// `AFA_THREADS` — the partition is part of the deterministic merge
-/// contract, so results never depend on the thread count.
+/// Total logical processes (workers + hub). Fixed: the LP ids are part
+/// of the deterministic merge contract.
 pub(crate) const LP_COUNT: usize = WORKER_LPS + 1;
 
 /// Physical cores per socket of the paper's dual Xeon E5-2690 v2:
@@ -94,9 +92,9 @@ pub(crate) const LP_COUNT: usize = WORKER_LPS + 1;
 /// `c % 20`.
 const CORES_PER_SOCKET_PAIR: usize = 20;
 
-/// Hub-to-worker latency of a background-placement decision. Must be
-/// at least the hub lookahead; 1 µs keeps bursts effectively at their
-/// arrival instant while leaving the conservative horizon sound.
+/// Hub-to-worker latency of a background-placement decision: the
+/// scheduler's cross-CPU wake-up of the daemon on its chosen CPU.
+/// 1 µs keeps bursts effectively at their arrival instant.
 const BG_PLACE_LATENCY: SimDuration = SimDuration::micros(1);
 
 /// Safety margin the fusion fast path keeps between a predicted
@@ -108,9 +106,9 @@ const BG_PLACE_LATENCY: SimDuration = SimDuration::micros(1);
 /// (which a frozen preview could not have seen).
 const REBALANCE_GUARD: SimDuration = SimDuration::millis(1);
 
-/// The worker shard owning logical CPU `cpu` (never [`HUB_LP`]).
-/// Hyper-siblings map to the same shard, so whole physical cores —
-/// and every device/job pinned to them — stay shard-local.
+/// The worker LP of logical CPU `cpu` (never [`HUB_LP`]).
+/// Hyper-siblings map to the same LP, so whole physical cores — and
+/// every device/job pinned to them — stay on one LP.
 pub(crate) fn lp_of_cpu(cpu: CpuId) -> usize {
     (cpu.0 as usize % CORES_PER_SOCKET_PAIR) % WORKER_LPS
 }
@@ -119,7 +117,7 @@ pub(crate) fn lp_of_cpu(cpu: CpuId) -> usize {
 /// [`IoPathWorld::ledger_slab`]).
 pub(crate) type LedgerId = u32;
 
-/// Shard-local events. Kept small (32 bytes): the timing wheel copies
+/// Events an LP schedules for itself. Kept small (32 bytes): the timing wheel copies
 /// events through its buckets on every push/cascade/pop, so the cold
 /// per-I/O ledger lives in an indexed slab on the world and events
 /// carry only a [`LedgerId`].
@@ -180,10 +178,9 @@ impl CqBatch {
     }
 }
 
-/// Cross-shard events. Each hop's timestamp respects the sender's
-/// lookahead bound (asserted by [`ShardCtx::send`]); payloads are the
-/// scalar outcomes of remotely-executed stages, never the ledger
-/// itself.
+/// Events between LPs. Each hop lands strictly after its send
+/// (asserted by [`ShardCtx::send`]); payloads are the scalar outcomes
+/// of stages run on another LP, never the ledger itself.
 #[derive(Debug)]
 pub(crate) enum Cross {
     /// Worker → hub: a command left the host at `start`; the hub
@@ -229,8 +226,8 @@ pub(crate) enum Cross {
     /// Hub → origin worker: a polled completion's data is host-side;
     /// the spinning (or sleeping) thread reaps it directly. Carries
     /// `at_host` explicitly because the event's own timestamp may be
-    /// clamped up to the hub lookahead — without an MSI the shared
-    /// legs can finish inside the lookahead window for tiny payloads.
+    /// raised to the hub dispatch floor — without an MSI the shared
+    /// legs can finish inside that floor for tiny payloads.
     PollComplete {
         job: usize,
         issued_at: SimTime,
@@ -252,9 +249,9 @@ pub(crate) enum Cross {
     },
     /// Hub → CPU-owner worker: install a background burst.
     BgPlace { placement: BgPlacement },
-    /// Worker → hub: the owning shard charged I/O work on `cpu`
-    /// through `until`; keeps the hub's background-placement view of
-    /// CPU business fresh (one lookahead stale, see
+    /// Worker → hub: the worker charged I/O work on `cpu` through
+    /// `until`; keeps the hub's background-placement view of CPU
+    /// business fresh (one worker report delay stale, see
     /// [`HostModel::note_io_busy`]).
     CpuBusy { cpu: CpuId, until: SimTime },
 }
@@ -311,7 +308,7 @@ struct FusedChain {
     irq: Option<FusedIrq>,
 }
 
-/// Per-replica fusion counters, harvested into
+/// Per-run fusion counters, harvested into
 /// [`afa_sim::metrics::FusionCounters`] by the run driver.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct FusionTally {
@@ -324,13 +321,51 @@ pub(crate) struct FusionTally {
     pub(crate) elided: u64,
 }
 
-/// One shard's replica of the whole-array world: jobs × host × fabric
-/// × devices, driven by [`Local`]/[`Cross`] events through the staged
-/// I/O path. Only the slices owned by the LPs in `owned` are ever
-/// mutated — under a fused partition plan one replica serves several
-/// LPs, and because each LP still touches a disjoint slice, fusing
-/// changes no bytes.
-#[derive(Clone)]
+/// Encoded fusion override: 0 = none (`AFA_NO_FUSION` decides),
+/// 1 = force on, 2 = force off.
+static FUSION_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+/// RAII scope pinning the macro-event fusion fast path on or off,
+/// taking precedence over `AFA_NO_FUSION`. Because results are
+/// byte-identical with fusion on or off, overlapping overrides from
+/// concurrent tests cannot change any outcome — only how many events
+/// the engine pops.
+pub struct FusionOverride {
+    prev: usize,
+}
+
+impl FusionOverride {
+    /// Pins fusion on (`true`) or off (`false`) until the guard drops.
+    pub fn set(enabled: bool) -> Self {
+        let prev = FUSION_OVERRIDE.swap(if enabled { 1 } else { 2 }, Ordering::Relaxed);
+        FusionOverride { prev }
+    }
+}
+
+impl Drop for FusionOverride {
+    fn drop(&mut self) {
+        FUSION_OVERRIDE.store(self.prev, Ordering::Relaxed);
+    }
+}
+
+/// Resolves whether a run fuses stage chains: a [`FusionOverride`]
+/// wins, then `AFA_NO_FUSION` (any non-empty value other than `0`
+/// disables), then the default (on).
+pub(crate) fn fusion_enabled() -> bool {
+    match FUSION_OVERRIDE.load(Ordering::Relaxed) {
+        1 => true,
+        2 => false,
+        _ => !std::env::var("AFA_NO_FUSION")
+            .map(|v| {
+                let v = v.trim();
+                !v.is_empty() && v != "0"
+            })
+            .unwrap_or(false),
+    }
+}
+
+/// The whole-array world: jobs × host × fabric × devices, driven by
+/// [`Local`]/[`Cross`] events through the staged I/O path.
 pub(crate) struct IoPathWorld {
     pub(crate) host: HostModel,
     pub(crate) fabric: PcieFabric,
@@ -338,25 +373,18 @@ pub(crate) struct IoPathWorld {
     pub(crate) jobs: Vec<JobState>,
     pub(crate) causes: Option<afa_sim::trace::CauseAccumulator>,
     /// Per-worker-LP blktrace windows. Capture caps apply *per LP*,
-    /// so the set of recorded I/Os is a property of each LP's
-    /// (plan-invariant) event stream — fusing replicas cannot change
-    /// which I/Os make the window.
+    /// so the set of recorded I/Os is a property of each LP's event
+    /// stream.
     pub(crate) tracers: Option<Vec<crate::blktrace::TraceRecorder>>,
-    /// Per-worker-LP ledger-log windows (same invariance argument).
+    /// Per-worker-LP ledger-log windows (same per-LP caps).
     pub(crate) ledger_logs: Option<Vec<LedgerLog>>,
     /// Per-worker-LP completion-model tallies (interrupt reaps, poll
-    /// reaps, hybrid oversleeps). Indexed by the job's owning LP so
-    /// fused replicas keep disjoint slices and the harvest can stitch
-    /// each LP's tally from its owning shard exactly once.
+    /// reaps, hybrid oversleeps), indexed by the job's LP.
     pub(crate) completions: Vec<CompletionCounters>,
     geometry: CpuSsdGeometry,
     horizon: SimTime,
     afa_socket: u16,
-    /// Bitmask of the logical processes this replica owns (workers
-    /// `0..WORKER_LPS`, hub [`HUB_LP`]); used only to assert events
-    /// arrive on their owning replica.
-    owned: u16,
-    /// Owning worker shard of each job (by its device's pinned CPU).
+    /// Worker LP of each job (by its device's pinned CPU).
     job_lp: Vec<usize>,
     /// Inverse of `jobs[j].spec().device()` (hub-side batch routing).
     job_of_device: Vec<usize>,
@@ -403,9 +431,7 @@ type Ctx<'a> = ShardCtx<'a, Local, Cross>;
 
 impl IoPathWorld {
     /// Assembles a world from its parts (see `AfaSystem::run` for the
-    /// construction of each). The caller clones the assembled world
-    /// into one replica per shard and brands each with
-    /// [`IoPathWorld::set_lps`].
+    /// construction of each).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         host: HostModel,
@@ -452,7 +478,6 @@ impl IoPathWorld {
             tracers: tracer.map(|t| vec![t; WORKER_LPS]),
             ledger_logs: ledger_log.map(|l| vec![l; WORKER_LPS]),
             completions: vec![CompletionCounters::default(); WORKER_LPS],
-            owned: 0,
             job_lp,
             job_of_device,
             next_allowed: vec![SimTime::ZERO; jobs_len],
@@ -471,41 +496,33 @@ impl IoPathWorld {
         }
     }
 
-    /// Enables the fusion fast path for this replica (the run driver
-    /// resolves the knob once per run).
+    /// Enables the fusion fast path (the run driver resolves the knob
+    /// once per run).
     pub(crate) fn set_fusion(&mut self, enabled: bool) {
         self.fusion_enabled = enabled;
     }
 
-    /// This replica's fusion tally, for the run harvest.
+    /// The run's fusion tally, for the run harvest.
     pub(crate) fn fusion_tally(&self) -> FusionTally {
         self.fused_tally
     }
 
-    /// Brands this replica with the set of logical processes it owns
-    /// under the run's partition plan.
-    pub(crate) fn set_lps(&mut self, owned: u16) {
-        self.owned = owned;
-    }
-
-    /// True when this replica owns `lp`'s slice.
-    fn owns(&self, lp: usize) -> bool {
-        self.owned >> lp & 1 == 1
-    }
-
-    /// Worker lookahead: the minimum delay any worker send adds — a
-    /// fabric hop for `FabricUp`, interrupt entry + handler floor for
-    /// `WakeReap`.
-    pub(crate) fn worker_lookahead(&self) -> SimDuration {
+    /// Worker report delay: how long a worker's doorbell post
+    /// (`SubmitDown`) and CPU-business report (`CpuBusy`) take to
+    /// reach the hub — the shorter of a fabric hop and interrupt entry
+    /// plus the handler floor.
+    fn worker_report_delay(&self) -> SimDuration {
         let costs = self.host.costs();
         self.fabric
             .hop_latency()
             .min(costs.irq_entry + costs.irq_handler)
     }
 
-    /// Hub lookahead: every hub send crosses the shared legs (≥ one
-    /// hop) and an MSI write.
-    pub(crate) fn hub_lookahead(&self) -> SimDuration {
+    /// Hub dispatch floor: the earliest a hub decision reaches a
+    /// worker — one fabric hop plus an MSI write. Floors the
+    /// `CommandAtDevice` and `PollComplete` hand-offs and delays a
+    /// coalesced interrupt past its timeout.
+    fn hub_dispatch_floor(&self) -> SimDuration {
         self.fabric.hop_latency() + self.fabric.msi_latency()
     }
 
@@ -536,7 +553,6 @@ impl IoPathWorld {
     /// stages 1–3 inline and schedules the [`Local::DeviceDone`] that
     /// resumes the path. Runs only on the job's owning worker.
     fn issue_burst(&mut self, job: usize, mut now: SimTime, ctx: &mut Ctx<'_>) {
-        debug_assert!(self.owns(self.job_lp[job]), "issue on a foreign shard");
         let cpu = self.geometry.cpu_of_ssd(self.jobs[job].spec().device());
         let issue_gap = self.jobs[job].spec().min_issue_gap();
         let mut busy_until = None;
@@ -578,12 +594,11 @@ impl IoPathWorld {
             // shared arbitration slot to commit early: each thread
             // rings a private doorbell, so the down-FIFOs are
             // reserved in payload-ready order and the wake-order
-            // convoy coupling disappears. `submit_end >= now` keeps
-            // the lookahead bound sound.
+            // convoy coupling disappears.
             let t_send = if self.per_cpu_queues {
-                submit_end + self.worker_lookahead()
+                submit_end + self.worker_report_delay()
             } else {
-                ctx.now() + self.worker_lookahead()
+                ctx.now() + self.worker_report_delay()
             };
             ctx.send(
                 HUB_LP,
@@ -608,14 +623,14 @@ impl IoPathWorld {
         // whose I/O task *sleeps* must look idle — one that is still
         // submitting must not).
         if let Some(until) = busy_until {
-            let at = ctx.now() + self.worker_lookahead();
+            let at = ctx.now() + self.worker_report_delay();
             ctx.send(HUB_LP, at, Cross::CpuBusy { cpu, until });
         }
     }
 
     /// The device posted a completion: reserve the device-side up-leg
     /// locally and hand the payload to the hub at the instant it
-    /// reaches the leaf switch (one fabric hop of lookahead).
+    /// reaches the leaf switch (at least one fabric hop later).
     fn on_device_done(&mut self, job: usize, issued_at: SimTime, id: LedgerId, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         let device = self.jobs[job].spec().device();
@@ -674,10 +689,10 @@ impl IoPathWorld {
         }
         if model.parks_thread() {
             // Without the MSI's trailing latency a tiny payload can
-            // clear the shared legs inside the hub lookahead; the
-            // event timestamp is clamped but the reap works off the
-            // carried `at_host`.
-            let at = at_host.max(ctx.now() + self.hub_lookahead());
+            // clear the shared legs inside the hub dispatch floor; the
+            // event timestamp is raised to it but the reap works off
+            // the carried `at_host`.
+            let at = at_host.max(ctx.now() + self.hub_dispatch_floor());
             ctx.send(
                 self.job_lp[job],
                 at,
@@ -739,22 +754,21 @@ impl IoPathWorld {
 
     /// Hub: a coalescing timeout fired. Stale timers (the batch
     /// already fired full) find the queue empty and do nothing. The
-    /// interrupt itself lands one hub-lookahead later — the MSI still
-    /// has to cross the fabric to the host.
+    /// interrupt itself lands one hub dispatch floor later — the MSI
+    /// still has to cross the fabric to the host.
     fn on_msi(&mut self, device: usize, ctx: &mut Ctx<'_>) {
         if self.pending_cq[device].is_empty() {
             return;
         }
         let batch = std::mem::take(&mut self.pending_cq[device]);
         let job = self.job_of_device[device];
-        let at = ctx.now() + self.hub_lookahead();
+        let at = ctx.now() + self.hub_dispatch_floor();
         self.fire_irq(job, device, at, CqBatch::Many(batch), ctx);
     }
 
     /// Vector-CPU worker: execute the handler on the effective vector
-    /// CPU (this shard owns its state) and hand the outcome to the
-    /// origin worker at the wake-ready instant (≥ interrupt entry +
-    /// handler floor of lookahead).
+    /// CPU and hand the outcome to the origin worker at the wake-ready
+    /// instant (≥ interrupt entry + handler floor later).
     fn on_irq_deliver(
         &mut self,
         job: usize,
@@ -866,10 +880,6 @@ impl IoPathWorld {
     /// Failing any of these takes the plain per-stage path.
     fn fusion_candidate(&self, job: usize, device: usize) -> bool {
         self.fusion_enabled
-            // A fused replica owning every LP (the single plan): the
-            // eager legs and the settlement mutate worker- and
-            // hub-owned state from one handler.
-            && self.owned == (1 << LP_COUNT) - 1
             // Coalescing batches completions across I/Os on the hub.
             && self.coalescing.is_none()
             // Capture windows admit by per-LP arrival order, which a
@@ -1050,7 +1060,7 @@ impl IoPathWorld {
                 Some(f) => f.outcome.wake_ready,
                 // The instant the real `PollComplete` event would
                 // fire (its handler works off the carried `at_host`).
-                None => at_host.max(t_leaf + self.hub_lookahead()),
+                None => at_host.max(t_leaf + self.hub_dispatch_floor()),
             };
             Some(FusedChain {
                 settle_at,
@@ -1413,7 +1423,7 @@ impl ShardWorld for IoPathWorld {
                     self.fuse_submit(job, op, ledger, start, at_entry, ctx);
                     return;
                 }
-                let at = at_entry.max(ctx.now() + self.hub_lookahead());
+                let at = at_entry.max(ctx.now() + self.hub_dispatch_floor());
                 ctx.send(
                     self.job_lp[job],
                     at,
@@ -1433,7 +1443,6 @@ impl ShardWorld for IoPathWorld {
                 issued_at,
                 at_entry,
             } => {
-                debug_assert!(self.owns(self.job_lp[job]), "device leg on a foreign shard");
                 let device = self.jobs[job].spec().device();
                 let bytes = self.jobs[job].spec().block_size();
                 let led = &mut self.ledger_slab[ledger as usize];
@@ -1540,9 +1549,8 @@ mod tests {
 
     #[test]
     fn cpu_to_shard_map_keeps_cores_whole() {
-        // Hyper-siblings (c, c+20) must land on the same worker so
-        // sibling_busy reads stay shard-local, and no CPU may map to
-        // the hub.
+        // Hyper-siblings (c, c+20) must land on the same worker LP,
+        // and no CPU may map to the hub.
         for c in 0..40u16 {
             let lp = lp_of_cpu(CpuId(c));
             assert!(lp < WORKER_LPS, "cpu {c} mapped to the hub");

@@ -1,19 +1,15 @@
 //! System assembly: builds the host, fabric, devices and jobs from an
 //! [`AfaConfig`] and drives the staged I/O path
-//! ([`crate::io_path`]) to completion on the sharded conservative
-//! engine ([`afa_sim::shard`]).
+//! ([`crate::io_path`]) to completion on the single-wheel LP engine
+//! ([`afa_sim::shard`]).
 //!
 //! The lifecycle of one I/O — submit syscall, fabric legs, device
 //! service, interrupt, scheduler wake-up, reap — lives in the
 //! [`crate::io_path`] stage modules; this module only resolves the
-//! geometry, replicates the world across the shard topology, runs the
-//! simulation (threaded when `AFA_THREADS` > 1, sequential otherwise
-//! — byte-identical either way) and stitches the owned slices back
-//! into one result.
+//! geometry, builds the world, runs the simulation and reads the
+//! result out of the finished world.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use afa_host::{CpuId, CpuTopology, HostModel};
+use afa_host::{CpuTopology, HostModel};
 use afa_pcie::{FabricStats, PcieFabric};
 use afa_sim::metrics::CompletionCounters;
 use afa_sim::{ShardedSim, SimDuration, SimRng, SimTime};
@@ -22,81 +18,7 @@ use afa_workload::{JobReport, JobSpec, JobState};
 
 use crate::config::AfaConfig;
 use crate::geometry::CpuSsdGeometry;
-use crate::io_path::{lp_of_cpu, IoPathWorld, LedgerLog, Local, HUB_LP, WORKER_LPS};
-
-/// Live [`SequentialGuard`] count: while non-zero, every run in the
-/// process stays on the sequential driver regardless of
-/// `AFA_THREADS`. A plain counter (not a thread-local) because the
-/// experiment registry runs experiments on a pool of worker threads;
-/// the worst a race can do is run a shardable experiment sequentially,
-/// which changes nothing but wall-clock time.
-static FORCE_SEQUENTIAL: AtomicUsize = AtomicUsize::new(0);
-
-/// RAII scope forcing sequential execution — held around experiments
-/// that drive their own single-world simulations and must not observe
-/// `AFA_THREADS`.
-pub(crate) struct SequentialGuard;
-
-impl SequentialGuard {
-    pub(crate) fn acquire() -> Self {
-        FORCE_SEQUENTIAL.fetch_add(1, Ordering::Relaxed);
-        SequentialGuard
-    }
-}
-
-impl Drop for SequentialGuard {
-    fn drop(&mut self) {
-        FORCE_SEQUENTIAL.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Programmatic thread-count override (0 = none). Lets tests compare
-/// the two drivers without mutating the process environment; see
-/// [`ThreadsOverride`].
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// RAII scope pinning the engine's worker-thread count, taking
-/// precedence over `AFA_THREADS` (but not over a [`SequentialGuard`],
-/// which exists for correctness, not policy). Because results are
-/// byte-identical at every thread count, overlapping overrides from
-/// concurrent tests cannot change any outcome — only which driver
-/// does the work.
-pub struct ThreadsOverride {
-    prev: usize,
-}
-
-impl ThreadsOverride {
-    /// Pins the thread count to `threads` (≥ 1) until the guard drops.
-    pub fn set(threads: usize) -> Self {
-        let prev = THREAD_OVERRIDE.swap(threads.max(1), Ordering::Relaxed);
-        ThreadsOverride { prev }
-    }
-}
-
-impl Drop for ThreadsOverride {
-    fn drop(&mut self) {
-        THREAD_OVERRIDE.store(self.prev, Ordering::Relaxed);
-    }
-}
-
-/// Worker threads for the conservative engine: `AFA_THREADS` when set
-/// to a sane value, else 1 (the sequential driver). Results are
-/// byte-identical at every thread count — the knob only trades wall
-/// clock for cores.
-fn configured_threads() -> usize {
-    if FORCE_SEQUENTIAL.load(Ordering::Relaxed) > 0 {
-        return 1;
-    }
-    let pinned = THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if pinned > 0 {
-        return pinned;
-    }
-    std::env::var("AFA_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or(1)
-}
+use crate::io_path::{lp_of_cpu, IoPathWorld, LedgerLog, Local, HUB_LP, LP_COUNT};
 
 /// The outcome of one run.
 #[derive(Debug)]
@@ -114,10 +36,11 @@ pub struct RunResult {
     pub ledgers: Option<LedgerLog>,
     /// Simulated time at which the last completion landed.
     pub elapsed: SimTime,
-    /// Simulation events processed by the run (≈ 2–3 per I/O).
+    /// Simulation events processed by the run (≈ 7 per I/O on the
+    /// unfused interrupt path; fused chains pop fewer).
     pub events_processed: u64,
     /// Events that were scheduled into the past and clamped (0 for a
-    /// healthy model; see [`afa_sim::Simulation::clamped_past_schedules`]).
+    /// healthy model; see [`afa_sim::ShardedSim::clamped_past_schedules`]).
     pub clamped_past_schedules: u64,
     /// The final host model (scheduler/IRQ counters via
     /// [`HostModel::stats`]).
@@ -263,15 +186,13 @@ impl AfaSystem {
             .map(JobState::deadline)
             .fold(SimTime::ZERO, SimTime::max)
             + SimDuration::millis(50);
-        let jobs_len = jobs.len();
-        // Ownership maps, captured before the geometry moves into the
-        // world: which worker shard drives each job and device.
-        let device_lps: Vec<usize> = (0..n).map(|d| lp_of_cpu(geometry.cpu_of_ssd(d))).collect();
+        // Which worker LP drives each job, captured before the geometry
+        // moves into the world.
         let job_lps: Vec<usize> = jobs
             .iter()
             .map(|j| lp_of_cpu(geometry.cpu_of_ssd(j.spec().device())))
             .collect();
-        let mut proto = IoPathWorld::new(
+        let mut world = IoPathWorld::new(
             host,
             fabric,
             devices,
@@ -290,47 +211,11 @@ impl AfaSystem {
         );
         // Macro-event fusion: on unless `AFA_NO_FUSION` / a
         // `FusionOverride` says otherwise. The fast path additionally
-        // gates itself per submit (single plan, QD1, uncontended
-        // resources — see `IoPathWorld::fusion_candidate`), and is
-        // byte-exact, so the knob only exists for A/B verification.
-        proto.set_fusion(crate::partition::fusion_enabled());
-
-        // Resolve the partition plan and replicate the world across
-        // it: one replica per shard, branded with the LPs it owns,
-        // with the shard lookahead the minimum over its members. The
-        // engine's merge contract orders events by LP — never by
-        // shard — so every plan × thread count produces the same
-        // bytes; the plan only decides how much parallel machinery a
-        // run pays for.
-        let threads = configured_threads();
-        let job_lp_mask = job_lps.iter().fold(0u16, |m, &lp| m | 1 << lp);
-        let resolved =
-            crate::partition::resolve(job_lp_mask, threads, crate::partition::host_cores());
-        let plan = resolved.plan;
-        let worker_la = proto.worker_lookahead();
-        let hub_la = proto.hub_lookahead();
-        let mut proto = Some(proto);
-        let shard_count = plan.shard_count();
-        let mut shards = Vec::with_capacity(shard_count);
-        for shard in 0..shard_count {
-            let members = plan.members(shard);
-            let mask = members.iter().fold(0u16, |m, &lp| m | 1 << lp);
-            let lookahead = if members.contains(&HUB_LP) && members.len() == 1 {
-                hub_la
-            } else if members.contains(&HUB_LP) {
-                hub_la.min(worker_la)
-            } else {
-                worker_la
-            };
-            let mut world = if shard + 1 == shard_count {
-                proto.take().expect("proto consumed once")
-            } else {
-                proto.as_ref().expect("proto alive").clone()
-            };
-            world.set_lps(mask);
-            shards.push((world, lookahead));
-        }
-        let mut sim = ShardedSim::with_plan(plan.clone(), shards);
+        // gates itself per submit (QD1, uncontended resources — see
+        // `IoPathWorld::fusion_candidate`), and is byte-exact, so the
+        // knob only exists for A/B verification.
+        world.set_fusion(crate::io_path::fusion_enabled());
+        let mut sim = ShardedSim::new(world, LP_COUNT);
 
         // fio staggers thread start-up by a few µs per thread; the
         // stagger also prevents an artificial phase-lock between
@@ -343,131 +228,46 @@ impl AfaSystem {
             );
         }
         sim.schedule(HUB_LP, SimTime::ZERO, Local::BgArrival);
-        sim.run_threaded(threads);
+        sim.run();
 
         let elapsed = sim.now();
         let events_processed = sim.events_processed();
         let clamped_past_schedules = sim.clamped_past_schedules();
-        let worlds = sim.into_worlds();
-        let hub_shard = plan.shard_of(HUB_LP);
+        let world = sim.into_world();
 
-        // Stitch the owned slices back together, one pass per *world*
-        // (a fused world already holds its member LPs' slices in
-        // place). The hub's world is the authority on shared state
-        // (vector table, balancer, bg placement, shared fabric legs);
-        // every merge below is an associative absorb of disjoint
-        // activity, so the stitched result is plan-invariant.
-        let device_stats: Vec<(DeviceStats, FtlStats)> = (0..n)
-            .map(|d| {
-                let owner = &worlds[plan.shard_of(device_lps[d])].devices[d];
-                (owner.stats(), owner.ftl_stats())
-            })
+        let device_stats: Vec<(DeviceStats, FtlStats)> = world
+            .devices
+            .iter()
+            .map(|d| (d.stats(), d.ftl_stats()))
             .collect();
-        let mut fabric_stats = worlds[hub_shard].fabric.stats();
-        for (shard, world) in worlds.iter().enumerate() {
-            if shard != hub_shard {
-                fabric_stats.absorb(world.fabric.stats());
-            }
-        }
-        // Completion-model tallies are per worker LP; take each LP's
-        // tally from its owning shard exactly once (a fused replica
-        // holds several LPs' disjoint slices in place).
         let mut completions = CompletionCounters::default();
-        for lp in 0..WORKER_LPS {
-            completions.absorb(&worlds[plan.shard_of(lp)].completions[lp]);
+        for tally in &world.completions {
+            completions.absorb(tally);
         }
         afa_sim::metrics::add_completion(completions);
-        let mut worlds: Vec<Option<IoPathWorld>> = worlds.into_iter().map(Some).collect();
-        let hub = worlds[hub_shard].take().expect("hub world");
-        // Fusion happens only on a replica owning every LP (the
-        // single plan), which is necessarily the hub's world; flush
-        // its tally to the process-wide counters. The elided events
-        // keep the *logical* event total comparable across fusion
-        // settings: popped events + elided = the un-fused count.
-        let fusion = hub.fusion_tally();
+        // The elided events keep the *logical* event total comparable
+        // across fusion settings: popped events + elided = the un-fused
+        // count.
+        let fusion = world.fusion_tally();
         afa_sim::metrics::add_fusion(afa_sim::metrics::FusionCounters {
             fused_chains: fusion.fused,
             defused_chains: fusion.defused,
             elided_events: fusion.elided,
         });
-        let mut host = hub.host;
-        let all_cpus: Vec<CpuId> = host.topology().all_cpus().iter().collect();
-        for (shard, world) in worlds.iter().enumerate() {
-            let Some(world) = world else { continue };
-            let owned: Vec<CpuId> = all_cpus
-                .iter()
-                .copied()
-                .filter(|&c| plan.shard_of(lp_of_cpu(c)) == shard)
-                .collect();
-            host.adopt_cpu_states(&world.host, &owned);
-            host.absorb_stats(&world.host);
-        }
-        let mut causes = hub.causes;
-        let mut trace_parts = Vec::new();
-        let mut ledger_parts = Vec::new();
-        let mut reports: Vec<Option<JobReport>> = (0..jobs_len).map(|_| None).collect();
-        // Capture windows are per worker LP (see `IoPathWorld`), so
-        // each shard contributes exactly its owned LPs' windows and the
-        // union is plan-invariant.
-        if let Some(tracers) = hub.tracers {
-            for (lp, rec) in tracers.into_iter().enumerate() {
-                if plan.shard_of(lp) == hub_shard {
-                    trace_parts.push(rec);
-                }
-            }
-        }
-        if let Some(logs) = hub.ledger_logs {
-            for (lp, log) in logs.into_iter().enumerate() {
-                if plan.shard_of(lp) == hub_shard {
-                    ledger_parts.push(log);
-                }
-            }
-        }
-        for (j, job) in hub.jobs.into_iter().enumerate() {
-            if plan.shard_of(job_lps[j]) == hub_shard {
-                reports[j] = Some(job.into_report());
-            }
-        }
-        for (shard, world) in worlds.into_iter().enumerate() {
-            let Some(world) = world else { continue };
-            if let (Some(acc), Some(part)) = (&mut causes, &world.causes) {
-                acc.merge(part);
-            }
-            if let Some(tracers) = world.tracers {
-                for (lp, rec) in tracers.into_iter().enumerate() {
-                    if plan.shard_of(lp) == shard {
-                        trace_parts.push(rec);
-                    }
-                }
-            }
-            if let Some(logs) = world.ledger_logs {
-                for (lp, log) in logs.into_iter().enumerate() {
-                    if plan.shard_of(lp) == shard {
-                        ledger_parts.push(log);
-                    }
-                }
-            }
-            for (j, job) in world.jobs.into_iter().enumerate() {
-                if plan.shard_of(job_lps[j]) == shard {
-                    reports[j] = Some(job.into_report());
-                }
-            }
-        }
         RunResult {
-            reports: reports
-                .into_iter()
-                .map(|r| r.expect("every job has an owning shard"))
-                .collect(),
-            causes,
-            traces: (config.trace_ios > 0)
-                .then(|| crate::blktrace::TraceRecorder::merged(config.trace_ios, trace_parts)),
-            ledgers: (config.ledger_log > 0)
-                .then(|| LedgerLog::merged(config.ledger_log, ledger_parts)),
+            reports: world.jobs.into_iter().map(JobState::into_report).collect(),
+            causes: world.causes,
+            traces: world
+                .tracers
+                .map(|parts| crate::blktrace::TraceRecorder::merged(config.trace_ios, parts)),
+            ledgers: world
+                .ledger_logs
+                .map(|parts| LedgerLog::merged(config.ledger_log, parts)),
             elapsed,
             events_processed,
             clamped_past_schedules,
-            host,
-            fabric_stats,
+            fabric_stats: world.fabric.stats(),
+            host: world.host,
             device_stats,
             completions,
         }
