@@ -12,13 +12,22 @@
 use std::hint::black_box;
 
 use afa_bench::micro::Harness;
+use afa_frontend::RequestBook;
 use afa_host::{BackgroundConfig, CpuId, CpuTopology, HostModel, KernelConfig, SchedPolicy};
 use afa_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use afa_ssd::{FirmwareProfile, NvmeCommand, SsdDevice, SsdSpec};
 use afa_stats::LatencyHistogram;
+use afa_volume::{StripeConfig, StripedVolume};
 
 fn bench_histogram(harness: &mut Harness) {
-    afa_bench::micro::register_histogram_record(harness);
+    // One `record` per iteration over a pseudo-random latency stream:
+    // the once-per-I/O cost every simulated sample pays.
+    let mut h = LatencyHistogram::new();
+    let mut x = 12345u64;
+    harness.bench("histogram_record", || {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        h.record(black_box(20_000 + (x >> 40)));
+    });
     let mut h = LatencyHistogram::new();
     for v in 0..1_000_000u64 {
         h.record(25_000 + v % 10_000);
@@ -39,9 +48,33 @@ fn bench_event_queue(harness: &mut Harness) {
         q.push(SimTime::from_nanos(black_box(t)), t);
         black_box(q.pop());
     });
-    // Steady-state churn at fixed occupancy (shared with `desperf` so
-    // the trajectory file measures the identical workload).
-    afa_bench::micro::register_queue_churn(harness);
+    // Steady-state churn at fixed occupancy: pop-then-push with
+    // pseudo-random inter-event gaps mimicking the ~0.1–50 µs spread of
+    // completion/interrupt events in a real run. The whole-array
+    // simulation holds ~2 events per outstanding I/O, so 1 K ≈ a small
+    // array and 64 K ≈ far beyond the paper's 64-SSD full-scale run.
+    for &(name, depth) in &[
+        ("queue_push_pop_1k", 1_024u64),
+        ("queue_push_pop_64k", 65_536),
+    ] {
+        let mut q: EventQueue<u64> = EventQueue::with_capacity(depth as usize);
+        let mut x = 0x243F_6A88_85A3_08D3u64;
+        let mut gap = move || {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            1 + (x >> 48) % 50_000
+        };
+        let mut horizon = 0u64;
+        for i in 0..depth {
+            horizon += gap();
+            q.push(SimTime::from_nanos(horizon), i);
+        }
+        harness.bench(name, || {
+            let (t, e) = q.pop().expect("queue stays at fixed depth");
+            horizon = horizon.max(t.as_nanos()) + gap();
+            q.push(SimTime::from_nanos(black_box(horizon)), e);
+            black_box(t);
+        });
+    }
 }
 
 fn bench_rng(harness: &mut Harness) {
@@ -88,10 +121,27 @@ fn bench_scheduler(harness: &mut Harness) {
 }
 
 fn bench_frontend(harness: &mut Harness) {
-    // Full 64-wide request bookkeeping (stripe map + book + 64 sub
-    // completions) — the per-request frontend cost in the tail-at-scale
-    // experiments.
-    afa_bench::micro::register_frontend_fanout(harness);
+    // One full 64-wide request per iteration: stripe mapping into 64
+    // sub-I/Os, `RequestBook` open, and all 64 sub completions. This is
+    // the per-request bookkeeping the `tailscale-fanout` /
+    // `tailscale-hedge` experiments pay on top of the device/host
+    // substrate.
+    let volume = StripedVolume::new((0..64).collect(), StripeConfig::new(4096));
+    let mut book = RequestBook::new();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut now = 0u64;
+    harness.bench("frontend_fanout_64", || {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        let page = (x >> 33) % 4_000_000;
+        let subs = volume.map_read(page, 64 * 4096);
+        now += 1_000;
+        let arrived = SimTime::from_nanos(now);
+        let id = book.begin(0, arrived, SimTime::from_nanos(now + 200), &subs);
+        for sub in 0..subs.len() {
+            now += 10;
+            black_box(book.complete_sub(id, sub, SimTime::from_nanos(now), false));
+        }
+    });
 }
 
 fn main() {

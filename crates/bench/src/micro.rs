@@ -185,83 +185,6 @@ impl Harness {
     }
 }
 
-/// Registers the event-queue steady-state churn benches
-/// (`queue_push_pop_1k`, `queue_push_pop_64k`) on `harness`.
-///
-/// Shared by `cargo bench --bench micro` and the `desperf` trajectory
-/// binary so both measure exactly the same workload: fixed-occupancy
-/// pop-then-push with pseudo-random inter-event gaps mimicking the
-/// ~0.1–50 µs spread of completion/interrupt events in a real run. The
-/// whole-array simulation holds ~2 events per outstanding I/O, so 1 K
-/// ≈ a small array and 64 K ≈ far beyond the paper's 64-SSD full-scale
-/// run.
-pub fn register_queue_churn(harness: &mut Harness) {
-    use afa_sim::{EventQueue, SimTime};
-    for &(name, depth) in &[
-        ("queue_push_pop_1k", 1_024u64),
-        ("queue_push_pop_64k", 65_536),
-    ] {
-        let mut q: EventQueue<u64> = EventQueue::with_capacity(depth as usize);
-        let mut x = 0x243F_6A88_85A3_08D3u64;
-        let mut gap = move || {
-            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            1 + (x >> 48) % 50_000
-        };
-        let mut horizon = 0u64;
-        for i in 0..depth {
-            horizon += gap();
-            q.push(SimTime::from_nanos(horizon), i);
-        }
-        harness.bench(name, || {
-            let (t, e) = q.pop().expect("queue stays at fixed depth");
-            horizon = horizon.max(t.as_nanos()) + gap();
-            q.push(SimTime::from_nanos(std::hint::black_box(horizon)), e);
-            std::hint::black_box(t);
-        });
-    }
-}
-
-/// Registers the histogram hot-path bench (`histogram_record`) on
-/// `harness`: one `record` per iteration over a pseudo-random latency
-/// stream, the once-per-I/O cost every simulated sample pays.
-pub fn register_histogram_record(harness: &mut Harness) {
-    let mut h = afa_stats::LatencyHistogram::new();
-    let mut x = 12345u64;
-    harness.bench("histogram_record", || {
-        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-        h.record(std::hint::black_box(20_000 + (x >> 40)));
-    });
-}
-
-/// Registers the request-serving hot-path bench (`frontend_fanout_64`)
-/// on `harness`: one full 64-wide request per iteration — stripe
-/// mapping into 64 sub-I/Os, [`afa_frontend::RequestBook`] open, and
-/// all 64 sub completions. This is the per-request bookkeeping cost
-/// the `tailscale-fanout` / `tailscale-hedge` experiments pay on top
-/// of the device/host substrate.
-pub fn register_frontend_fanout(harness: &mut Harness) {
-    use afa_frontend::RequestBook;
-    use afa_sim::SimTime;
-    use afa_volume::{StripeConfig, StripedVolume};
-
-    let volume = StripedVolume::new((0..64).collect(), StripeConfig::new(4096));
-    let mut book = RequestBook::new();
-    let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    let mut now = 0u64;
-    harness.bench("frontend_fanout_64", || {
-        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-        let page = (x >> 33) % 4_000_000;
-        let subs = volume.map_read(page, 64 * 4096);
-        now += 1_000;
-        let arrived = SimTime::from_nanos(now);
-        let id = book.begin(0, arrived, SimTime::from_nanos(now + 200), &subs);
-        for sub in 0..subs.len() {
-            now += 10;
-            std::hint::black_box(book.complete_sub(id, sub, SimTime::from_nanos(now), false));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,18 +212,6 @@ mod tests {
         assert_eq!(r.samples, 3);
         assert!(r.mean_ns > 0.0);
         assert!(r.min_ns <= r.median_ns && r.median_ns <= r.max_ns);
-    }
-
-    #[test]
-    fn registered_micro_benches_record() {
-        let mut h = Harness {
-            filter: Some("1k".to_owned()),
-            ..quick_harness()
-        };
-        register_queue_churn(&mut h);
-        register_histogram_record(&mut h);
-        assert_eq!(h.results().len(), 1, "only queue_push_pop_1k matches");
-        assert_eq!(h.results()[0].name, "queue_push_pop_1k");
     }
 
     #[test]

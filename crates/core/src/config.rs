@@ -1,6 +1,5 @@
 //! Run configuration: everything needed to run one experiment.
 
-use afa_host::BackgroundConfig;
 use afa_sim::SimDuration;
 use afa_ssd::DeviceProfile;
 use afa_workload::{IoEngine, JobSpec, RwPattern};
@@ -27,8 +26,6 @@ pub struct AfaConfig {
     pub geometry: CpuSsdGeometry,
     /// Tuning stage (kernel config + fio class + firmware).
     pub tuning: Tuning,
-    /// Background daemon workload.
-    pub background: BackgroundConfig,
     /// Per-job run time.
     pub runtime: SimDuration,
     /// Master seed.
@@ -84,12 +81,13 @@ pub struct AfaConfig {
     /// or the ULL ~9 µs class). Also selects the queue-pair topology:
     /// the ULL class models per-CPU NVMe SQ/CQ pairs.
     pub device_profile: DeviceProfile,
-    /// Hybrid-poll sleep fraction: percent of the device profile's
-    /// nominal read latency the thread sleeps before it starts
-    /// spinning (io_uring's `hybrid_poll` knob). Integer percent keeps
-    /// the derived sleep deterministic across platforms.
-    pub hybrid_sleep_percent: u32,
 }
+
+/// Hybrid-poll sleep fraction: percent of the device profile's nominal
+/// read latency the thread sleeps before it starts spinning (io_uring's
+/// `hybrid_poll` knob). Integer percent keeps the derived sleep
+/// deterministic across platforms.
+const HYBRID_SLEEP_PERCENT: u64 = 50;
 
 impl AfaConfig {
     /// The paper's §III setup at a given tuning stage: 64 SSDs, the
@@ -98,7 +96,6 @@ impl AfaConfig {
         AfaConfig {
             geometry: CpuSsdGeometry::paper(64),
             tuning: Tuning::new(stage),
-            background: BackgroundConfig::centos7_desktop(),
             runtime: SimDuration::secs(120),
             seed: 42,
             log_latency: false,
@@ -119,7 +116,6 @@ impl AfaConfig {
             ledger_log: 0,
             afa_socket: 1,
             device_profile: DeviceProfile::Table1,
-            hybrid_sleep_percent: 50,
         }
     }
 
@@ -127,7 +123,7 @@ impl AfaConfig {
     /// applied to the device profile's nominal read latency.
     pub fn hybrid_sleep(&self) -> SimDuration {
         let nominal = self.device_profile.nominal_read_latency();
-        SimDuration::nanos(nominal.as_nanos() * self.hybrid_sleep_percent as u64 / 100)
+        SimDuration::nanos(nominal.as_nanos() * HYBRID_SLEEP_PERCENT / 100)
     }
 
     /// Caps each job's issue rate (fio's `rate_iops`).
@@ -198,12 +194,6 @@ impl AfaConfig {
         self
     }
 
-    /// Sets the background workload.
-    pub fn with_background(mut self, background: BackgroundConfig) -> Self {
-        self.background = background;
-        self
-    }
-
     /// Enables per-sample latency logging.
     pub fn with_logging(mut self, log: bool) -> Self {
         self.log_latency = log;
@@ -232,18 +222,6 @@ impl AfaConfig {
     /// Selects the device class for every SSD in the array.
     pub fn with_device_profile(mut self, profile: DeviceProfile) -> Self {
         self.device_profile = profile;
-        self
-    }
-
-    /// Sets the hybrid-poll sleep fraction (percent of the device's
-    /// nominal read latency; io_uring's `hybrid_poll` knob).
-    ///
-    /// # Panics
-    ///
-    /// Panics if above 100.
-    pub fn with_hybrid_sleep_percent(mut self, percent: u32) -> Self {
-        assert!(percent <= 100, "sleep fraction is a percentage");
-        self.hybrid_sleep_percent = percent;
         self
     }
 }

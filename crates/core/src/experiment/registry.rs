@@ -620,8 +620,11 @@ pub fn run_experiment(def: &ExperimentDef, scale: ExperimentScale) -> Experiment
     let events_processed = afa_sim::metrics::events_processed_total() - events_before;
     let events_per_sec = events_processed as f64 / wall.as_secs_f64().max(1e-9);
     // Before the probe: the probe's interrupt-reaped I/Os are not
-    // part of the experiment's completion-model story.
+    // part of the experiment's completion-model story, and the chains
+    // it fuses (8 SSDs, one job per worker LP) are not the
+    // experiment's either.
     let completion = afa_sim::metrics::completion_totals().since(&completion_before);
+    let fusion = afa_sim::metrics::fusion_totals().since(&fusion_before);
 
     let probe_runtime = if scale.runtime > SimDuration::millis(250) {
         SimDuration::millis(250)
@@ -646,9 +649,6 @@ pub fn run_experiment(def: &ExperimentDef, scale: ExperimentScale) -> Experiment
     let clamped_past_schedules = afa_sim::metrics::clamped_past_total() - clamped_before;
     let frontend = afa_sim::metrics::frontend_totals().since(&frontend_before);
     let fleet = afa_sim::metrics::fleet_totals().since(&fleet_before);
-    // Measured after the probe on purpose: the probe fuses too, and
-    // the table row should reflect everything this run scheduled.
-    let fusion = afa_sim::metrics::fusion_totals().since(&fusion_before);
 
     let samples = result.samples();
     ExperimentRun {

@@ -1537,9 +1537,9 @@ mod tests {
 
     #[test]
     fn cross_events_stay_bounded() {
-        // Cross events ride BTreeMap nodes and mailboxes, not the
-        // wheel, so the budget is looser — but a regression to a
-        // by-value ledger (~250 bytes) must still fail loudly.
+        // Cross payloads sit in the engine's cross-payload slab, not
+        // in wheel entries, so the budget is looser — but a regression
+        // to a by-value ledger (~250 bytes) must still fail loudly.
         assert!(
             std::mem::size_of::<Cross>() <= 112,
             "Cross grew to {} bytes",

@@ -9,7 +9,7 @@
 //! geometry, builds the world, runs the simulation and reads the
 //! result out of the finished world.
 
-use afa_host::{CpuTopology, HostModel};
+use afa_host::{BackgroundConfig, CpuTopology, HostModel};
 use afa_pcie::{FabricStats, PcieFabric};
 use afa_sim::metrics::CompletionCounters;
 use afa_sim::{ShardedSim, SimDuration, SimRng, SimTime};
@@ -130,7 +130,9 @@ impl AfaSystem {
         if let Some(rcu) = config.rcu_override {
             kernel.rcu_nocbs = rcu;
         }
-        let mut host = HostModel::new(topo, kernel, config.background, config.seed);
+        // Every run carries the paper's CentOS-7 desktop daemons.
+        let background = BackgroundConfig::centos7_desktop();
+        let mut host = HostModel::new(topo, kernel, background, config.seed);
         host.init_vectors(geometry.assignment().to_vec(), config.seed);
 
         let fabric = PcieFabric::paper_single_host(n);

@@ -175,11 +175,6 @@ impl<W: World> Simulation<W> {
         &self.world
     }
 
-    /// Exclusive access to the world.
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Consumes the simulation and returns the world.
     pub fn into_world(self) -> W {
         self.world

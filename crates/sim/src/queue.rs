@@ -244,7 +244,7 @@ impl<E> EventQueue<E> {
     /// nothing for this.
     ///
     /// The caller must not push a keyed event at or before an instant
-    /// it has already drained past (the sharded engine's send guard
+    /// it has already drained past ([`ShardCtx::send`](crate::ShardCtx::send)
     /// keeps arrivals strictly in the future); a keyed event landing
     /// in the past-overflow heap is still ordered correctly against
     /// everything pending.

@@ -362,7 +362,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "strict future")]
-    fn sends_below_lookahead_panic() {
+    fn sends_not_in_the_strict_future_panic() {
         struct Bad;
         impl ShardWorld for Bad {
             type Local = ();

@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
-"""Plot the CSV artifacts the bench harness writes to target/afa-results/.
+"""Plot the CSV artifacts `afactl exp <name> --out DIR` writes.
 
 Usage:
+    for f in fig06 fig07 fig08 fig09 fig10 fig11 fig12; do
+        cargo run --release --bin afactl -- exp $f --out target/afa-results
+    done
     python3 scripts/plot_figures.py [target/afa-results] [out_dir]
 
 Produces, for whichever inputs exist:
