@@ -1,6 +1,5 @@
 //! Runners for Fig. 6 – Fig. 14.
 
-use afa_sim::SimDuration;
 use afa_stats::series::{median_spike_gap, LogPoint};
 use afa_stats::{Json, LatencyProfile, NinesPoint, OnlineStats, ProfileSummary};
 
@@ -658,16 +657,10 @@ pub fn render_fig14(summaries: &[(Table2Row, ProfileSummary)]) -> String {
     out
 }
 
-// Keep the scale-dependent runtime accessible for fig13's fraction of
-// a second logic if needed later.
-#[allow(dead_code)]
-fn min_runtime() -> SimDuration {
-    SimDuration::millis(10)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afa_sim::SimDuration;
 
     fn quick() -> ExperimentScale {
         ExperimentScale::quick()

@@ -3,13 +3,14 @@
 //! through one [`IoLedger`].
 //!
 //! ```text
-//!  worker LP A (device d, CPU c, job j)                  hub LP
-//!  ───────────────────────────────────────────          ──────────
-//!  submit ─▶ fabric(down,local) ─▶ device ─╮
-//!    ╰────────── inline ──────────╯        │ DeviceDone (local)
-//!                 fabric(device up-leg) ◀──╯
-//!                        │ FabricUp ──────────▶ fabric(shared legs)
-//!                                               irq route / coalesce
+//!  worker LP A (device d, CPU c, job j)            hub LP
+//!  ─────────────────────────────────────          ─────────────────────
+//!  submit ── SubmitDown ──────────────────────▶ fabric(down, shared)
+//!                                                fabric(down, device d)
+//!                                                device d serves ─╮
+//!  fabric(device up-leg) ◀──── DeviceDone (A's local, keyed) ─────╯
+//!         │ FabricUp ─────────────────────────▶ fabric(up, shared)
+//!                                                irq route / coalesce
 //!  worker LP V (the vector CPU)          ◀───── IrqDeliver
 //!  irq handler ──╮
 //!                │ WakeReap ──▶ worker LP A: wake ─▶ reap ─▶ next issue
@@ -31,7 +32,10 @@
 //! link and per-CPU scheduler state mapped to those cores by
 //! [`lp_of_cpu`]. The hub stands for everything shared: the upstream
 //! leaf/uplink links, the MSI-X vector table and IRQ balancer,
-//! interrupt coalescing, and background-daemon placement.
+//! interrupt coalescing, and background-daemon placement. The hub's
+//! `SubmitDown` handler runs the device's down-leg and service
+//! directly: each device still sees the same calls in the same order
+//! (DESIGN.md §6.1), so no hop carries the command to its worker.
 //!
 //! All LPs run on one timing wheel. The LP ids are the namespace of
 //! the engine's merge key, so same-instant hops between them ride
@@ -62,6 +66,7 @@ pub use ledger::{CompletedIo, IoLedger, LedgerLog};
 use complete::COMPLETE_COST;
 use model::CompletionModel;
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use afa_host::{BgPlacement, CpuId, HostModel, IrqDelivery, IrqOutcome};
@@ -117,7 +122,7 @@ pub(crate) fn lp_of_cpu(cpu: CpuId) -> usize {
 /// [`IoPathWorld::ledger_slab`]).
 pub(crate) type LedgerId = u32;
 
-/// Events an LP schedules for itself. Kept small (32 bytes): the timing wheel copies
+/// Events scheduled on one LP. Kept small (32 bytes): the timing wheel copies
 /// events through its buckets on every push/cascade/pop, so the cold
 /// per-I/O ledger lives in an indexed slab on the world and events
 /// carry only a [`LedgerId`].
@@ -127,7 +132,8 @@ pub(crate) enum Local {
     Issue { job: usize },
     /// The device posts the completion; the device-side up-leg is
     /// reserved *now* so per-device FIFOs are used in time order
-    /// (worker).
+    /// (worker; scheduled by the hub's `SubmitDown` handler, keyed as
+    /// of the instant the command would have reached the worker).
     DeviceDone {
         job: usize,
         issued_at: SimTime,
@@ -178,30 +184,22 @@ impl CqBatch {
     }
 }
 
-/// Events between LPs. Each hop lands strictly after its send
-/// (asserted by [`ShardCtx::send`]); payloads are the scalar outcomes
-/// of stages run on another LP, never the ledger itself.
+/// Events between LPs: the hops whose order the merge key pins. Each
+/// lands strictly after its send (asserted by [`ShardCtx::send`]);
+/// payloads are the scalar outcomes of stages run on another LP, never
+/// the ledger itself.
 #[derive(Debug)]
 pub(crate) enum Cross {
     /// Worker → hub: a command left the host at `start`; the hub
     /// reserves the shared down-legs in global submit order (the FIFO
     /// ordering phase-couples the submitting threads — the coupling
-    /// behind the paper's shared-fabric convoys).
+    /// behind the paper's shared-fabric convoys), then runs the
+    /// device's down-leg and service.
     SubmitDown {
         job: usize,
         op: Op,
         ledger: LedgerId,
         start: SimTime,
-    },
-    /// Hub → device-owner worker: the command reached the leaf egress
-    /// at `at_entry`; the owner reserves the device's down-link and
-    /// starts device service.
-    CommandAtDevice {
-        job: usize,
-        op: Op,
-        ledger: LedgerId,
-        issued_at: SimTime,
-        at_entry: SimTime,
     },
     /// Worker → hub: the completion payload reached the leaf switch;
     /// the hub reserves the shared legs and routes the interrupt.
@@ -249,11 +247,37 @@ pub(crate) enum Cross {
     },
     /// Hub → CPU-owner worker: install a background burst.
     BgPlace { placement: BgPlacement },
-    /// Worker → hub: the worker charged I/O work on `cpu` through
-    /// `until`; keeps the hub's background-placement view of CPU
-    /// business fresh (one worker report delay stale, see
-    /// [`HostModel::note_io_busy`]).
-    CpuBusy { cpu: CpuId, until: SimTime },
+}
+
+/// CPU-business reports on their way from the workers to the hub's
+/// background-placement view: the worker charged I/O work on `cpu`
+/// through `until`, and the report lands one worker report delay
+/// later (see [`HostModel::note_io_busy`]). Landing instants never
+/// decrease — the delay is fixed for the run — so a FIFO holds them,
+/// and it never holds more than one delay window of reports.
+#[derive(Debug, Default)]
+struct BusyReports(VecDeque<(SimTime, CpuId, SimTime)>);
+
+impl BusyReports {
+    /// Queues a report that lands at `at`.
+    fn push(&mut self, at: SimTime, cpu: CpuId, until: SimTime) {
+        debug_assert!(self.0.back().is_none_or(|&(last, ..)| last <= at));
+        self.0.push_back((at, cpu, until));
+    }
+
+    /// Hands every report that has landed by `now` to `note`, oldest
+    /// first. A report landing at `now` counts: it would have been a
+    /// cross event, and those pop before local events at their
+    /// instant.
+    fn fold(&mut self, now: SimTime, mut note: impl FnMut(CpuId, SimTime)) {
+        while let Some(&(at, cpu, until)) = self.0.front() {
+            if at > now {
+                break;
+            }
+            note(cpu, until);
+            self.0.pop_front();
+        }
+    }
 }
 
 /// The frozen interrupt leg of a fused chain: the routing and handler
@@ -316,9 +340,10 @@ pub(crate) struct FusionTally {
     pub(crate) fused: u64,
     /// Fused chains torn back into per-stage events by contention.
     pub(crate) defused: u64,
-    /// Per-stage events the settled macro-events replaced (4 per
-    /// interrupt chain, 3 per polled chain).
-    pub(crate) elided: u64,
+    /// Events the fast path kept off the wheel, net of the `Settle`
+    /// events it added: popped events + `elided` = the un-fused count.
+    /// Signed: a chain that is re-booked and then de-fused adds events.
+    pub(crate) elided: i64,
 }
 
 /// Encoded fusion override: 0 = none (`AFA_NO_FUSION` decides),
@@ -424,6 +449,9 @@ pub(crate) struct IoPathWorld {
     /// no foreign job's CPU state can interleave with the frozen
     /// completion preview).
     lp_job_count: [u32; WORKER_LPS],
+    /// CPU-business reports not yet folded into the hub's placement
+    /// view.
+    busy_reports: BusyReports,
 }
 
 /// The scheduling context every handler receives.
@@ -493,6 +521,7 @@ impl IoPathWorld {
             fused_tally: FusionTally::default(),
             device_job_count,
             lp_job_count,
+            busy_reports: BusyReports::default(),
         }
     }
 
@@ -508,9 +537,9 @@ impl IoPathWorld {
     }
 
     /// Worker report delay: how long a worker's doorbell post
-    /// (`SubmitDown`) and CPU-business report (`CpuBusy`) take to
-    /// reach the hub — the shorter of a fabric hop and interrupt entry
-    /// plus the handler floor.
+    /// (`SubmitDown`) and CPU-business report ([`BusyReports`]) take
+    /// to reach the hub — the shorter of a fabric hop and interrupt
+    /// entry plus the handler floor.
     fn worker_report_delay(&self) -> SimDuration {
         let costs = self.host.costs();
         self.fabric
@@ -520,8 +549,9 @@ impl IoPathWorld {
 
     /// Hub dispatch floor: the earliest a hub decision reaches a
     /// worker — one fabric hop plus an MSI write. Floors the
-    /// `CommandAtDevice` and `PollComplete` hand-offs and delays a
-    /// coalesced interrupt past its timeout.
+    /// `PollComplete` hand-off and the instant a `DeviceDone` is keyed
+    /// as of (a completion before it counts as a clamped schedule),
+    /// and delays a coalesced interrupt past its timeout.
     fn hub_dispatch_floor(&self) -> SimDuration {
         self.fabric.hop_latency() + self.fabric.msi_latency()
     }
@@ -623,9 +653,52 @@ impl IoPathWorld {
         // whose I/O task *sleeps* must look idle — one that is still
         // submitting must not).
         if let Some(until) = busy_until {
-            let at = ctx.now() + self.worker_report_delay();
-            ctx.send(HUB_LP, at, Cross::CpuBusy { cpu, until });
+            // Folding here keeps the FIFO to one delay window.
+            let now = ctx.now();
+            let at = now + self.worker_report_delay();
+            let host = &mut self.host;
+            self.busy_reports.fold(now, |c, u| host.note_io_busy(c, u));
+            self.busy_reports.push(at, cpu, until);
         }
+    }
+
+    /// Hub: a command left the host at `start`. Reserve the shared
+    /// down-legs, then run the device's down-leg and service right here
+    /// and schedule the completion on the device's worker — or hand
+    /// the I/O to the fusion fast path. Each device sees the same calls
+    /// in the same order as if the command had hopped to its worker
+    /// first (DESIGN.md §6.1); the `DeviceDone` is keyed as of the
+    /// instant that hop would have landed.
+    fn on_submit_down(
+        &mut self,
+        job: usize,
+        op: Op,
+        id: LedgerId,
+        start: SimTime,
+        ctx: &mut Ctx<'_>,
+    ) {
+        let device = self.jobs[job].spec().device();
+        let bytes = self.jobs[job].spec().block_size();
+        let at_entry = fabric::downstream_shared(&mut self.fabric, device, start);
+        let led = &mut self.ledger_slab[id as usize];
+        let at_device =
+            fabric::downstream_device_leg(&mut self.fabric, device, start, at_entry, led);
+        let completes_at = device::serve(&mut self.devices[device], at_device, op, bytes, led);
+        if self.fusion_candidate(job, device) {
+            self.fuse_submit(job, id, start, completes_at, ctx);
+            return;
+        }
+        let as_of = at_entry.max(ctx.now() + self.hub_dispatch_floor());
+        ctx.at_lp_as_of(
+            self.job_lp[job],
+            as_of,
+            completes_at,
+            Local::DeviceDone {
+                job,
+                issued_at: start,
+                ledger: id,
+            },
+        );
     }
 
     /// The device posted a completion: reserve the device-side up-leg
@@ -900,13 +973,13 @@ impl IoPathWorld {
     }
 
     /// The speculative fast path (hub, at `SubmitDown` time, after the
-    /// real shared down-leg claim): run the private device-side legs
-    /// eagerly, then — if the completion side is provably uncontended —
-    /// freeze the rest of the timeline into a [`FusedChain`] and book
-    /// one [`Local::Settle`] macro-event in place of the 4 (interrupt)
-    /// or 3 (poll) per-stage events.
+    /// real down-legs and device service): run the private device
+    /// up-leg eagerly, then — if the completion side is provably
+    /// uncontended — freeze the rest of the timeline into a
+    /// [`FusedChain`] and book one [`Local::Settle`] macro-event in
+    /// place of the 4 (interrupt) or 3 (poll) per-stage events.
     ///
-    /// The private legs are exact regardless of what the completion
+    /// The private leg is exact regardless of what the completion
     /// side decides: the device, its links and the parked ledger are
     /// this I/O's alone (QD1 + private device), and the full event
     /// drain guarantees the chain completes in every run. A
@@ -914,14 +987,13 @@ impl IoPathWorld {
     /// back *partially*, replaying the real [`Cross::FabricUp`] at the
     /// leaf-arrival instant with the job's own channel sequence (the
     /// same relative order the un-fused send would have had), eliding
-    /// just the two device-side events.
+    /// just the `DeviceDone`.
     fn fuse_submit(
         &mut self,
         job: usize,
-        op: Op,
         id: LedgerId,
         start: SimTime,
-        at_entry: SimTime,
+        completes_at: SimTime,
         ctx: &mut Ctx<'_>,
     ) {
         let device = self.jobs[job].spec().device();
@@ -929,12 +1001,10 @@ impl IoPathWorld {
         let cpu = self.geometry.cpu_of_ssd(device);
         let bytes = self.jobs[job].spec().block_size();
         let model = self.model_of(job);
-        // Eager private legs — verbatim the CommandAtDevice and
-        // DeviceDone handler bodies, minus the two events.
+        // Eager private up-leg — verbatim the `DeviceDone` handler
+        // body, minus the event.
+        self.fused_tally.elided += 1;
         let led = &mut self.ledger_slab[id as usize];
-        let at_device =
-            fabric::downstream_device_leg(&mut self.fabric, device, start, at_entry, led);
-        let completes_at = device::serve(&mut self.devices[device], at_device, op, bytes, led);
         led.stamp(IoStage::DeviceComplete, completes_at);
         let t_leaf = fabric::device_leg(
             &mut self.fabric,
@@ -1005,29 +1075,8 @@ impl IoPathWorld {
                 // wake on it could consume the RNG draws and busy
                 // windows the preview froze.
                 for (j2, other) in self.jobs.iter().enumerate() {
-                    if j2 == job {
-                        continue;
-                    }
                     let c2 = self.geometry.cpu_of_ssd(other.spec().device());
-                    if c2 == v || c2 == sib_v {
-                        break 'gate None;
-                    }
-                }
-                // No other interrupt-driven device may point its
-                // effective vector at the chain's vector or reap core
-                // pairs: a same-instant foreign delivery is keyed and
-                // would sort *before* the plain settlement event,
-                // diverging from the real (keyed) completion order.
-                for d2 in 0..self.devices.len() {
-                    if d2 == device {
-                        continue;
-                    }
-                    let j2 = self.job_of_device[d2];
-                    if j2 == usize::MAX || !self.model_of(j2).uses_irq_path() {
-                        continue;
-                    }
-                    let eff = vt.effective(d2);
-                    if eff == v || eff == sib_v || eff == cpu || eff == sib_c {
+                    if j2 != job && (c2 == v || c2 == sib_v) {
                         break 'gate None;
                     }
                 }
@@ -1038,24 +1087,30 @@ impl IoPathWorld {
                     delivered: false,
                 })
             } else {
-                // Polled chains still need the reap core pair clear of
-                // foreign effective vectors (same keyed-vs-plain
-                // ordering argument for the reaping CPU's state).
-                for d2 in 0..self.devices.len() {
-                    if d2 == device {
-                        continue;
-                    }
-                    let j2 = self.job_of_device[d2];
-                    if j2 == usize::MAX || !self.model_of(j2).uses_irq_path() {
-                        continue;
-                    }
-                    let eff = vt.effective(d2);
-                    if eff == cpu || eff == sib_c {
-                        break 'gate None;
-                    }
-                }
                 None
             };
+            // No other interrupt-driven device may point its effective
+            // vector at the chain's reap core pair, nor at an interrupt
+            // chain's vector core pair: a same-instant foreign delivery
+            // is keyed and would sort *before* the plain settlement
+            // event, diverging from the real (keyed) completion order.
+            let vector_pair = irq.as_ref().map(|f| {
+                let v = f.delivery.vector_cpu;
+                (v, self.host.topology().sibling_of(v))
+            });
+            for d2 in 0..self.devices.len() {
+                let j2 = self.job_of_device[d2];
+                if d2 == device || j2 == usize::MAX || !self.model_of(j2).uses_irq_path() {
+                    continue;
+                }
+                let eff = vt.effective(d2);
+                if eff == cpu
+                    || eff == sib_c
+                    || vector_pair.is_some_and(|(v, sv)| eff == v || eff == sv)
+                {
+                    break 'gate None;
+                }
+            }
             let settle_at = match &irq {
                 Some(f) => f.outcome.wake_ready,
                 // The instant the real `PollComplete` event would
@@ -1080,10 +1135,11 @@ impl IoPathWorld {
         match fused {
             Some(chain) => {
                 let settle_at = chain.settle_at;
+                self.fused_tally.elided += Self::completion_events(model);
                 self.fused[job] = Some(chain);
                 self.fused_live += 1;
                 self.fused_tally.fused += 1;
-                ctx.at_lp(job_lp, settle_at, Local::Settle { job });
+                self.book_settle(job, settle_at, ctx);
             }
             None => {
                 // Partial fallback: re-enter the plain path at the
@@ -1103,6 +1159,24 @@ impl IoPathWorld {
                 );
             }
         }
+    }
+
+    /// Per-stage events a fused chain keeps off the wheel after the
+    /// device's: `FabricUp` plus `IrqDeliver` + `WakeReap`, or plus
+    /// `PollComplete`.
+    fn completion_events(model: CompletionModel) -> i64 {
+        if model.uses_irq_path() {
+            3
+        } else {
+            2
+        }
+    }
+
+    /// Books (or re-books) `job`'s settlement at `at`. Every booking
+    /// pops — stale ones as no-ops — so each one debits the tally.
+    fn book_settle(&mut self, job: usize, at: SimTime, ctx: &mut Ctx<'_>) {
+        self.fused_tally.elided -= 1;
+        ctx.at_lp(self.job_lp[job], at, Local::Settle { job });
     }
 
     /// Worker: a settlement macro-event fired. The instant guard
@@ -1128,7 +1202,6 @@ impl IoPathWorld {
             self.fabric
                 .commit_completion_shared_legs(&chain.reservation);
         }
-        self.fused_tally.elided += if chain.irq.is_some() { 4 } else { 3 };
         match chain.irq {
             Some(f) => {
                 let irq = if f.delivered {
@@ -1174,6 +1247,8 @@ impl IoPathWorld {
         debug_assert!(!c.committed, "cannot de-fuse a committed chain");
         self.fused_live -= 1;
         self.fused_tally.defused += 1;
+        // The replayed `FabricUp` and what follows it pop after all.
+        self.fused_tally.elided -= Self::completion_events(c.model);
         ctx.send_from(
             self.job_lp[job],
             HUB_LP,
@@ -1286,7 +1361,7 @@ impl IoPathWorld {
                 // Unreachable when the asserts hold; keep release
                 // builds self-consistent anyway.
                 c.settle_at = irq.wake_ready;
-                ctx.at_lp(self.job_lp[job], c.settle_at, Local::Settle { job });
+                self.book_settle(job, irq.wake_ready, ctx);
             }
         }
         let p_lp = lp_of_cpu(p_cpu);
@@ -1357,7 +1432,7 @@ impl IoPathWorld {
             f.outcome = outcome;
             if c.settle_at != outcome.wake_ready {
                 c.settle_at = outcome.wake_ready;
-                ctx.at_lp(self.job_lp[job], c.settle_at, Local::Settle { job });
+                self.book_settle(job, outcome.wake_ready, ctx);
             }
         }
     }
@@ -1388,6 +1463,8 @@ impl ShardWorld for IoPathWorld {
             }
             Local::BgArrival => {
                 let now = ctx.now();
+                let host = &mut self.host;
+                self.busy_reports.fold(now, |c, u| host.note_io_busy(c, u));
                 let start = now + BG_PLACE_LATENCY;
                 if let Some(placement) = self.host.decide_background_remote(start) {
                     // Mirror the install on the hub-owned placement
@@ -1417,52 +1494,7 @@ impl ShardWorld for IoPathWorld {
                 ledger,
                 start,
             } => {
-                let device = self.jobs[job].spec().device();
-                let at_entry = fabric::downstream_shared(&mut self.fabric, device, start);
-                if self.fusion_candidate(job, device) {
-                    self.fuse_submit(job, op, ledger, start, at_entry, ctx);
-                    return;
-                }
-                let at = at_entry.max(ctx.now() + self.hub_dispatch_floor());
-                ctx.send(
-                    self.job_lp[job],
-                    at,
-                    Cross::CommandAtDevice {
-                        job,
-                        op,
-                        ledger,
-                        issued_at: start,
-                        at_entry,
-                    },
-                );
-            }
-            Cross::CommandAtDevice {
-                job,
-                op,
-                ledger,
-                issued_at,
-                at_entry,
-            } => {
-                let device = self.jobs[job].spec().device();
-                let bytes = self.jobs[job].spec().block_size();
-                let led = &mut self.ledger_slab[ledger as usize];
-                let at_device = fabric::downstream_device_leg(
-                    &mut self.fabric,
-                    device,
-                    issued_at,
-                    at_entry,
-                    led,
-                );
-                let completes_at =
-                    device::serve(&mut self.devices[device], at_device, op, bytes, led);
-                ctx.at(
-                    completes_at,
-                    Local::DeviceDone {
-                        job,
-                        issued_at,
-                        ledger,
-                    },
-                );
+                self.on_submit_down(job, op, ledger, start, ctx);
             }
             Cross::FabricUp {
                 job,
@@ -1513,9 +1545,6 @@ impl ShardWorld for IoPathWorld {
                     self.repreview_fused_after_install(p_cpu, now, ctx);
                 }
             }
-            Cross::CpuBusy { cpu, until } => {
-                self.host.note_io_busy(cpu, until);
-            }
         }
     }
 }
@@ -1545,6 +1574,30 @@ mod tests {
             "Cross grew to {} bytes",
             std::mem::size_of::<Cross>()
         );
+    }
+
+    #[test]
+    fn busy_reports_land_one_delay_after_the_charge() {
+        let delay = SimDuration::nanos(600);
+        let t = SimTime::from_nanos(10_000);
+        let until = t + SimDuration::micros(5);
+        let mut reports = BusyReports::default();
+        reports.push(t + delay, CpuId(3), until);
+        // A background arrival 1 ns before the report lands misses it;
+        // one at the landing instant sees it.
+        let mut seen = Vec::new();
+        reports.fold(t + delay - SimDuration::nanos(1), |c, u| seen.push((c, u)));
+        assert!(seen.is_empty());
+        reports.fold(t + delay, |c, u| seen.push((c, u)));
+        assert_eq!(seen, [(CpuId(3), until)]);
+        // Folding at each charge keeps one delay window of reports:
+        // with a charge every 100 ns, at most 600 / 100 are pending.
+        for i in 0..100u64 {
+            let now = t + SimDuration::nanos(100 * i);
+            reports.fold(now, |_, _| {});
+            reports.push(now + delay, CpuId(1), now);
+            assert!(reports.0.len() <= 6, "{} reports pending", reports.0.len());
+        }
     }
 
     #[test]

@@ -36,8 +36,9 @@ pub struct RunResult {
     pub ledgers: Option<LedgerLog>,
     /// Simulated time at which the last completion landed.
     pub elapsed: SimTime,
-    /// Simulation events processed by the run (≈ 7 per I/O on the
-    /// unfused interrupt path; fused chains pop fewer).
+    /// Simulation events processed by the run (5 per I/O on the
+    /// unfused interrupt path, 4 on the polled one; fused chains pop
+    /// fewer).
     pub events_processed: u64,
     /// Events that were scheduled into the past and clamped (0 for a
     /// healthy model; see [`afa_sim::ShardedSim::clamped_past_schedules`]).
@@ -249,12 +250,12 @@ impl AfaSystem {
         afa_sim::metrics::add_completion(completions);
         // The elided events keep the *logical* event total comparable
         // across fusion settings: popped events + elided = the un-fused
-        // count.
+        // count (a run whose fusion added events on net reports none).
         let fusion = world.fusion_tally();
         afa_sim::metrics::add_fusion(afa_sim::metrics::FusionCounters {
             fused_chains: fusion.fused,
             defused_chains: fusion.defused,
-            elided_events: fusion.elided,
+            elided_events: fusion.elided.max(0) as u64,
         });
         RunResult {
             reports: world.jobs.into_iter().map(JobState::into_report).collect(),

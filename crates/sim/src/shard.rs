@@ -23,6 +23,9 @@
 //! is the plain wheel pop — there is no side ordering structure to
 //! consult per event.
 //!
+//! Local events scheduled through [`ShardCtx::at_lp_as_of`] are keyed
+//! too, behind every cross key.
+//!
 //! Every [`ShardCtx::send`] must land strictly in the future: a keyed
 //! push at the current instant could sort behind keys already popped
 //! at that instant. Only [`ShardCtx::send_from`] may target the
@@ -60,12 +63,18 @@ pub trait ShardWorld {
     );
 }
 
-/// A wheel entry: a local event tagged with its LP, or a cross arrival
-/// whose payload is parked in the slab (keeping the wheel entry small
-/// and `Copy`-cheap to cascade).
+/// A wheel entry: a local event tagged with its LP (plain, or keyed by
+/// [`ShardCtx::at_lp_as_of`]), or a cross arrival whose payload is
+/// parked in the slab (keeping the wheel entry small and `Copy`-cheap
+/// to cascade).
 enum Item<L> {
     Local {
         lp: u16,
+        event: L,
+    },
+    KeyedLocal {
+        lp: u16,
+        key: u64,
         event: L,
     },
     Cross {
@@ -80,6 +89,13 @@ impl<L> KeyedEvent for Item<L> {
     fn merge_key(&self) -> Option<MergeKey> {
         match *self {
             Item::Local { .. } => None,
+            // No LP id reaches `u16::MAX` (see `ShardedSim::new`), so
+            // keyed locals sort after every cross event.
+            Item::KeyedLocal { lp, key, .. } => Some(MergeKey {
+                src: u16::MAX,
+                dst: lp,
+                seq: key,
+            }),
             Item::Cross { src, dst, seq, .. } => Some(MergeKey { src, dst, seq }),
         }
     }
@@ -118,7 +134,10 @@ impl<L, C> ShardCtx<'_, L, C> {
 
     /// Schedules a local event for an **explicit** LP at an absolute
     /// time. Used by the fusion fast path, where the hub schedules the
-    /// settlement event directly on the job's worker LP.
+    /// settlement event directly on the job's worker LP. A hub handler
+    /// that stands in for a former hop uses
+    /// [`at_lp_as_of`](Self::at_lp_as_of) instead, which keeps the
+    /// hop's order.
     pub fn at_lp(&mut self, lp: usize, time: SimTime, event: L) {
         if time < self.now {
             crate::driver::note_past_schedule(self.clamped, self.now, time);
@@ -127,6 +146,37 @@ impl<L, C> ShardCtx<'_, L, C> {
             time.max(self.now),
             Item::Local {
                 lp: lp as u16,
+                event,
+            },
+        );
+    }
+
+    /// Schedules a local event for `lp` at `time` as a handler running
+    /// at the later instant `as_of` would have — the direct call that
+    /// replaces a hop arriving at `as_of`. A `time` before `as_of`
+    /// clamps to it and counts as a past schedule. Same-instant events
+    /// scheduled this way pop after every cross event, before every
+    /// plain local one, and per LP in `as_of` order (ties in push
+    /// order).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `as_of > now`: a keyed push must land in the
+    /// strict future.
+    pub fn at_lp_as_of(&mut self, lp: usize, as_of: SimTime, time: SimTime, event: L) {
+        assert!(
+            as_of > self.now,
+            "as-of instant {as_of} is not in the strict future (now {})",
+            self.now,
+        );
+        if time < as_of {
+            crate::driver::note_past_schedule(self.clamped, as_of, time);
+        }
+        self.queue.push_keyed(
+            time.max(as_of),
+            Item::KeyedLocal {
+                lp: lp as u16,
+                key: as_of.as_nanos(),
                 event,
             },
         );
@@ -295,7 +345,7 @@ impl<W: ShardWorld> ShardedSim<W> {
             self.now = time;
             self.processed += 1;
             let lp = match item {
-                Item::Local { lp, .. } => lp,
+                Item::Local { lp, .. } | Item::KeyedLocal { lp, .. } => lp,
                 Item::Cross { dst, .. } => dst,
             };
             let mut ctx = ShardCtx {
@@ -309,7 +359,9 @@ impl<W: ShardWorld> ShardedSim<W> {
                 clamped: &mut self.clamped,
             };
             match item {
-                Item::Local { event, .. } => self.world.handle_local(event, &mut ctx),
+                Item::Local { event, .. } | Item::KeyedLocal { event, .. } => {
+                    self.world.handle_local(event, &mut ctx)
+                }
                 Item::Cross { src, slot, .. } => {
                     let payload = ctx.slab[slot as usize].take().expect("parked cross");
                     ctx.slab_free.push(slot);
@@ -358,6 +410,45 @@ mod tests {
             sim.into_world().seen,
             vec![(1, 10), (1, 11), (2, 20), (2, 21)]
         );
+    }
+
+    #[test]
+    fn as_of_locals_pop_after_crosses_in_as_of_order() {
+        // Everything lands at t = 100. The plain local is pushed first
+        // and still pops last; the as-of locals pop in as-of order, and
+        // the one due before its as-of instant clamps and counts.
+        type Log = Vec<&'static str>;
+        type Ctx<'a> = ShardCtx<'a, &'static str, &'static str>;
+        impl ShardWorld for Log {
+            type Local = &'static str;
+            type Cross = &'static str;
+            fn handle_local(&mut self, e: &'static str, ctx: &mut Ctx<'_>) {
+                if e != "seed" {
+                    return self.push(e);
+                }
+                let t = SimTime::from_nanos(100);
+                ctx.at(t, "plain");
+                ctx.at_lp_as_of(0, t, SimTime::from_nanos(90), "as-of 100, clamped");
+                ctx.at_lp_as_of(0, SimTime::from_nanos(50), t, "as-of 50");
+                ctx.at_lp_as_of(0, SimTime::from_nanos(20), t, "as-of 20");
+                ctx.send(0, t, "cross");
+            }
+            fn handle_cross(&mut self, _src: usize, e: &'static str, _ctx: &mut Ctx<'_>) {
+                self.push(e);
+            }
+        }
+        let mut sim = ShardedSim::new(Log::new(), 1);
+        sim.schedule(0, SimTime::from_nanos(10), "seed");
+        sim.run();
+        assert_eq!(sim.clamped_past_schedules(), 1);
+        let order = [
+            "cross",
+            "as-of 20",
+            "as-of 50",
+            "as-of 100, clamped",
+            "plain",
+        ];
+        assert_eq!(sim.into_world(), order);
     }
 
     #[test]

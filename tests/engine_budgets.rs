@@ -11,12 +11,16 @@
 //! scale, compared in integers: there is no headroom, so any growth
 //! fails. A change that lowers a grid's count should lower its pair.
 //!
+//! On the two grids where chains fuse, the fusion tally must also add
+//! up: events popped plus events reported elided equal the events the
+//! same grid pops with fusion forced off.
+//!
 //! The file holds a single `#[test]` so it runs in a test binary of its
 //! own: the counters it reads are process-global (`afa_sim::metrics`),
 //! and a sibling test on another thread would leak events into them.
 
 use afa::core::experiment::{self, Experiment, ExperimentScale};
-use afa::core::{AfaConfig, AfaSystem, TuningStage};
+use afa::core::{AfaConfig, AfaSystem, FusionOverride, TuningStage};
 use afa::sim::metrics::{self, FusionCounters};
 use afa::sim::SimDuration;
 use afa::ssd::DeviceProfile;
@@ -64,6 +68,23 @@ fn check(failures: &mut Vec<String>, grid: &str, events: u64, samples: u64, budg
     }
 }
 
+/// Checks that `fused` pops plus the events it reports elided equal
+/// the pops of the same grid with fusion forced off (`unfused`).
+fn check_elided(failures: &mut Vec<String>, grid: &str, fused: &Measured, unfused: &Measured) {
+    let logical = fused.events + fused.fusion.elided_events;
+    if fused.samples != unfused.samples || logical != unfused.events {
+        failures.push(format!(
+            "{grid}: {} popped + {} elided = {logical} events over {} samples, but {} events \
+             over {} samples with fusion off",
+            fused.events,
+            fused.fusion.elided_events,
+            fused.samples,
+            unfused.events,
+            unfused.samples,
+        ));
+    }
+}
+
 fn registry_grid(name: &str, scale: ExperimentScale) -> Measured {
     let def = experiment::find(name).expect("registered experiment");
     Measured::around(|| def.run(scale).samples())
@@ -78,7 +99,7 @@ fn engine_budgets_hold() {
     let mut failures = Vec::new();
 
     // fig06 at 64 SSDs packs eight jobs onto each worker LP, so no
-    // chain fuses: this is the per-stage interrupt chain, ≈7 events
+    // chain fuses: this is the per-stage interrupt chain, 5 events
     // per I/O.
     let fig06_64 = scale(0.05, 64);
     let unfused = registry_grid("fig06", fig06_64);
@@ -87,7 +108,7 @@ fn engine_budgets_hold() {
         "fig06 x64",
         unfused.events,
         unfused.samples,
-        Budget(366_815, 52_389),
+        Budget(262_037, 52_389),
     );
 
     // The manifest's event and fusion rows are scoped to the
@@ -103,12 +124,22 @@ fn engine_budgets_hold() {
     // fig06 at 8 SSDs is one job per worker LP: the interrupt chains
     // fuse into one settlement event each.
     let probe = registry_grid("fig06", scale(0.25, 8));
+    let probe_unfused = {
+        let _off = FusionOverride::set(false);
+        registry_grid("fig06", scale(0.25, 8))
+    };
+    check_elided(
+        &mut failures,
+        "fig06 x8 (fusion probe)",
+        &probe,
+        &probe_unfused,
+    );
     check(
         &mut failures,
         "fig06 x8 (fusion probe)",
         probe.events,
         probe.samples,
-        Budget(174_079, 44_774),
+        Budget(129_305, 44_774),
     );
     if probe.fusion.fused_chains == 0 {
         failures.push("fig06 x8 (fusion probe): no chain fused".to_owned());
@@ -116,23 +147,31 @@ fn engine_budgets_hold() {
 
     // ULL devices under hybrid polling, 70/30 read/write: polled
     // chains fuse, and writes take the FTL path.
-    let tuned = AfaConfig::paper(TuningStage::ExperimentalFirmware)
+    let tuned_config = AfaConfig::paper(TuningStage::ExperimentalFirmware)
         .with_device_profile(DeviceProfile::UltraLowLatency)
         .with_engine(IoEngine::HybridPoll)
         .with_rw(RwPattern::RandRw { read_pct: 70 })
         .with_ssds(8)
         .with_runtime(SimDuration::millis(250))
         .with_seed(42);
-    let tuned = Measured::around(|| {
-        let result = AfaSystem::run(&tuned);
-        result.reports.iter().map(|r| r.completed()).sum()
-    });
+    let run_tuned = || {
+        Measured::around(|| {
+            let result = AfaSystem::run(&tuned_config);
+            result.reports.iter().map(|r| r.completed()).sum()
+        })
+    };
+    let tuned_unfused = {
+        let _off = FusionOverride::set(false);
+        run_tuned()
+    };
+    let tuned = run_tuned();
+    check_elided(&mut failures, "tuned-8-poll-rw", &tuned, &tuned_unfused);
     check(
         &mut failures,
         "tuned-8-poll-rw",
         tuned.events,
         tuned.samples,
-        Budget(372_850, 114_993),
+        Budget(257_857, 114_993),
     );
     if tuned.fusion.fused_chains == 0 {
         failures.push("tuned-8-poll-rw: no polled chain fused".to_owned());
@@ -140,7 +179,7 @@ fn engine_budgets_hold() {
 
     // The registry grids at the golden scale.
     for (name, budget) in [
-        ("ull-crossover", Budget(7_845_712, 2_372_451)),
+        ("ull-crossover", Budget(5_473_261, 2_372_451)),
         ("fleet-failover", Budget(79_145, 15_480)),
         ("tailscale-fanout", Budget(265_205, 22_560)),
     ] {
